@@ -29,6 +29,11 @@ path at deployment-like scale and writes the numbers to
 * **concurrent** -- N client threads hammering ``/score`` and
   ``/explain`` simultaneously through the routing layer: aggregate
   request throughput plus per-route latency under contention.
+* **server.keepalive_round_trip_ms** -- the median round trip of
+  back-to-back ``/score`` reads on one keep-alive connection to a real
+  socket server; the CI guard holds it under 10 ms, so a response split
+  into a header write and a body write (a ~40 ms Nagle + delayed-ACK
+  stall per read) cannot come back unseen.
 
 The scored margins are asserted bit-identical to an unsharded in-memory
 pass over the same assembled matrix, so the speed being measured is the
@@ -77,6 +82,7 @@ from repro.serve import (
     ScoringEngine,
     ScoringService,
     StoredWorld,
+    make_server,
 )
 
 
@@ -570,6 +576,50 @@ def bench_concurrent(n_lines: int, n_weeks: int, n_rounds: int,
     }
 
 
+def bench_keepalive(n_lines: int, n_weeks: int, n_rounds: int,
+                    shard_size: int, workers: int | None,
+                    n_requests: int = 50) -> float:
+    """Median ms of back-to-back ``/score`` reads on one connection.
+
+    The reads go over a real socket to :func:`make_server`, one after
+    another on a single keep-alive ``http.client`` connection, against a
+    warmed week, so the number is the HTTP layer's round trip around a
+    sub-millisecond handler.
+    """
+    import http.client
+    import threading
+
+    rng = np.random.default_rng(20100806)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        store = _store_with_weeks(Path(tmp), rng, n_lines, n_weeks)
+        service = _cached_service(Path(tmp), rng, store, n_lines, n_rounds,
+                                  shard_size, workers)
+        server = make_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=60
+        )
+        try:
+            samples = []
+            for i in range(n_requests + 1):
+                t0 = time.perf_counter()
+                conn.request("GET", f"/score?line={i % n_lines}")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200, (
+                    f"keep-alive /score answered {response.status}"
+                )
+                samples.append(time.perf_counter() - t0)
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+    # The first read opens the connection and scores the week.
+    return float(np.median(samples[1:])) * 1e3
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--lines", type=int, default=120_000,
@@ -622,6 +672,9 @@ def main() -> None:
         },
         "serve": bench_serve(n_lines, n_weeks, n_rounds, shard, workers),
     }
+    report["server"]["keepalive_round_trip_ms"] = bench_keepalive(
+        n_lines, n_weeks, n_rounds, shard, workers
+    )
     if worker_count(workers) > 1:
         report["serve_single_worker"] = bench_serve(
             n_lines, n_weeks, n_rounds, shard, 1
@@ -656,6 +709,8 @@ def main() -> None:
           f"{serve['locate_lines']} lines), "
           f"rankings identical: {serve['locate_parity']}")
     print(f"parity with batch scorer: {serve['parity_with_batch_scorer']}")
+    print(f"keep-alive: {report['server']['keepalive_round_trip_ms']:.3f} ms "
+          f"median back-to-back /score round trip")
     single = report.get("serve_single_worker")
     if single is not None:
         speedup = serve["lines_per_sec"] / max(single["lines_per_sec"], 1e-9)

@@ -26,16 +26,12 @@ contributors.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.ml.ensemble_scoring import (
-    CompiledEnsemble,
-    MultiHeadEnsemble,
-    _FeatureGroup,
-    _MergedGroup,
-)
+from repro.ml.ensemble_scoring import CompiledEnsemble, MultiHeadEnsemble
 
 __all__ = [
     "FeatureContribution",
@@ -142,7 +138,22 @@ class MarginAttribution:
         Ties keep fold order (stable sort), so equal-magnitude votes rank
         deterministically.
         """
-        order = sorted(
+        return self._largest(len(self.contributions))
+
+    def top(self, k: int) -> list[FeatureContribution]:
+        """The ``k`` largest-magnitude votes, ranks filled in.
+
+        Equal to ``ranked()[:k]``, but copies only the ``k`` votes it
+        returns.
+        """
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        return self._largest(k)
+
+    def _largest(self, k: int) -> list[FeatureContribution]:
+        # heapq.nsmallest equals sorted(...)[:k], ties in input order.
+        order = heapq.nsmallest(
+            k,
             range(len(self.contributions)),
             key=lambda i: -abs(self.contributions[i].contribution),
         )
@@ -150,12 +161,6 @@ class MarginAttribution:
             replace(self.contributions[i], rank=rank + 1)
             for rank, i in enumerate(order)
         ]
-
-    def top(self, k: int) -> list[FeatureContribution]:
-        """The ``k`` largest-magnitude votes, ranks filled in."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        return self.ranked()[:k]
 
 
 def _name_of(names, feature: int) -> str | None:
@@ -166,32 +171,16 @@ def _name_of(names, feature: int) -> str | None:
     return names[feature]
 
 
-def _continuous_context(
-    keys: np.ndarray, value: float, missing: bool
-) -> tuple[int, float]:
-    """(thresholds crossed, last threshold crossed) for a continuous group."""
-    if missing:
-        return 0, float("nan")
-    crossed = int(np.searchsorted(keys, value, side="right"))
-    last = float(keys[crossed - 1]) if crossed else float("nan")
-    return crossed, last
-
-
-def _categorical_context(
-    keys: np.ndarray, value: float, missing: bool
-) -> tuple[int, float]:
-    """(matched flag, matched code) for a categorical group."""
-    if not missing and np.any(keys == value):
-        return 1, float(value)
-    return 0, float("nan")
-
-
 def attribute_ensemble(
     compiled: CompiledEnsemble,
     row: np.ndarray,
     names: list[str] | None = None,
 ) -> MarginAttribution:
     """Decompose one row's margin into exact per-feature votes.
+
+    The votes are the scorer's own table entries, gathered for every
+    group at once on the ensemble's slot grid
+    (:attr:`~repro.ml.ensemble_scoring.CompiledEnsemble.grid`).
 
     Args:
         compiled: the compiled ensemble that scored the row.
@@ -208,41 +197,11 @@ def attribute_ensemble(
         raise ValueError(
             f"row must have shape ({compiled.n_features},), got {row.shape}"
         )
-    margin = 0.0
-    contributions: list[FeatureContribution] = []
-    for group in compiled.groups:
-        value = float(row[group.feature])
-        missing = bool(np.isnan(value))
-        col = row[group.feature : group.feature + 1]
-        vote = float(CompiledEnsemble._group_contribution(group, col)[0])
-        margin += vote
-        contributions.append(
-            _contribution(group, value, missing, vote, names)
-        )
-    return MarginAttribution(margin=margin, contributions=tuple(contributions))
-
-
-def _contribution(
-    group: _FeatureGroup | _MergedGroup,
-    value: float,
-    missing: bool,
-    vote: float,
-    names,
-) -> FeatureContribution:
-    if group.categorical:
-        crossed, threshold = _categorical_context(group.keys, value, missing)
-    else:
-        crossed, threshold = _continuous_context(group.keys, value, missing)
-    return FeatureContribution(
-        feature=group.feature,
-        name=_name_of(names, group.feature),
-        categorical=group.categorical,
-        value=value,
-        missing=missing,
-        contribution=vote,
-        thresholds_crossed=crossed,
-        n_thresholds=int(group.keys.size),
-        threshold=threshold,
+    grid = compiled.grid
+    slot, values = grid.slots(row[None])
+    return _attribution(
+        compiled.groups, grid, grid.pair_groups, slot[0], values[0],
+        grid.votes(slot)[0], names,
     )
 
 
@@ -259,7 +218,9 @@ def attribute_head(
     ensemble -- and a head's groups appear in the same ascending
     ``(feature, kind)`` order as in its solo compilation, so the vote
     fold equals both ``decision_matrix(row[None])[0, head]`` and the solo
-    head's ``decision_function`` bit-identically.
+    head's ``decision_function`` bit-identically.  The head's votes are
+    gathered on the stacked scorer's slot grid, as ``decision_matrix``
+    does for small batches.
 
     Args:
         multi: the stacked ensemble.
@@ -275,30 +236,60 @@ def attribute_head(
     matches = np.flatnonzero(multi.head_columns == head)
     if not matches.size:
         raise KeyError(f"no head at output column {head}")
-    pos = int(matches[0])
+    grid = multi.grid
+    pairs = np.flatnonzero(grid.pair_heads == matches[0])
+    group_ids = grid.pair_groups[pairs]
+    slot, values = grid.slots(row[None])
+    votes = grid.tables[grid.pair_offsets[pairs] + slot[0, group_ids]]
+    return _attribution(
+        multi.groups, grid, group_ids, slot[0], values[0], votes, names
+    )
+
+
+def _attribution(
+    groups, grid, group_ids, slot, values, votes, names
+) -> MarginAttribution:
+    """Fold ``votes`` (one per group in ``group_ids``, fold order) into a
+    :class:`MarginAttribution` with each vote's evidence.
+
+    ``slot`` and ``values`` are the row's per-group slots and values on
+    ``grid``; a continuous group's slot is its thresholds-crossed count,
+    a categorical group's is below its size only on a match.
+    """
+    # The last threshold crossed (read only for a present continuous
+    # value with s > 0); the clip keeps missing-value slots in bounds.
+    last_key = grid.keys[
+        group_ids, np.clip(slot[group_ids] - 1, 0, grid.keys.shape[1] - 1)
+    ]
     margin = 0.0
     contributions: list[FeatureContribution] = []
-    for group in multi.groups:
-        members = np.flatnonzero(group.head_positions == pos)
-        if not members.size:
-            continue
-        value = float(row[group.feature])
-        missing = bool(np.isnan(value))
-        size = group.keys.size
-        # Same slot arithmetic as MultiHeadEnsemble.decision_matrix.
+    for g, size, s, value, vote, last in zip(
+        group_ids.tolist(), grid.sizes[group_ids].tolist(),
+        slot[group_ids].tolist(), values[group_ids].tolist(),
+        votes.tolist(), last_key.tolist(),
+    ):
+        group = groups[g]
+        missing = s == size + 1
         if missing:
-            slot = size + 1
+            crossed, threshold = 0, float("nan")
         elif group.categorical:
-            idx = min(
-                int(np.searchsorted(group.keys, value)), size - 1
-            )
-            slot = idx if group.keys[idx] == value else size
+            crossed = int(s < size)
+            threshold = value if crossed else float("nan")
         else:
-            slot = int(np.searchsorted(group.keys, value, side="right"))
-        vote = float(group.tables[int(members[0])][slot])
+            crossed, threshold = s, last if s else float("nan")
         margin += vote
         contributions.append(
-            _contribution(group, value, missing, vote, names)
+            FeatureContribution(
+                feature=group.feature,
+                name=_name_of(names, group.feature),
+                categorical=group.categorical,
+                value=value,
+                missing=missing,
+                contribution=vote,
+                thresholds_crossed=crossed,
+                n_thresholds=size,
+                threshold=threshold,
+            )
         )
     return MarginAttribution(margin=margin, contributions=tuple(contributions))
 

@@ -32,11 +32,18 @@ that sums ``Stump.predict`` outputs grouped the same way (see
 ``naive_grouped_margin``).  Against the historical round-interleaved sum
 the result agrees to within a few ULPs (float addition is not
 associative); ranking consumers are unaffected.
+
+Small batches -- one technician's ``/locate`` or ``/explain`` -- take a
+second route to the same doubles (:class:`_SlotGrid`): per-group NumPy
+calls cost microseconds of interpreter overhead each, so the grid
+buckets every group in one comparison over a padded (groups x keys)
+key grid and gathers every (group, head) vote in one indexing step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +54,17 @@ __all__ = [
     "compile_multihead",
     "naive_grouped_margin",
 ]
+
+#: Row count up to which :meth:`MultiHeadEnsemble.decision_matrix` scores
+#: on the slot grid instead of the per-group loop.  The loop pays a fixed
+#: cost of one NumPy call per (group, head) pair, the grid a cost that
+#: grows with rows x groups x padded keys.  Measured on the trained serve
+#: locator's 52-way scorer (78 groups, 682 pairs; one run on a shared
+#: 2-vCPU x86 host): 1 row 2.5 ms loop vs 53 us grid, 64 rows 2.0 vs
+#: 0.69 ms, 150 rows 2.7 vs 1.7 ms, crossover between 150 and 200 rows,
+#: 2000 rows 9.9 vs 41 ms.  The cutoff sits well under the crossover, so
+#: large batches (locator fitting, batch scoring) stay on the loop.
+SMALL_BATCH_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -150,6 +168,101 @@ def compile_stumps(stumps: list, n_features: int) -> "CompiledEnsemble":
     return CompiledEnsemble(n_features=n_features, groups=tuple(groups))
 
 
+def _slot_table(group: _FeatureGroup) -> np.ndarray:
+    """A group's totals laid out by slot, as in :class:`_MergedGroup`.
+
+    Continuous: the ``len(keys) + 1`` buckets; categorical: one entry per
+    code, then the no-match total; both end with the missing-value total.
+    """
+    if group.categorical:
+        return np.concatenate([group.table, [group.no_match, group.miss]])
+    return np.append(group.table, group.miss)
+
+
+@dataclass(frozen=True)
+class _SlotGrid:
+    """Every group's keys on one NaN-padded (groups x keys) grid.
+
+    A row's *slot* in a group indexes that group's slot tables: the
+    bucket (count of thresholds ``<= v``) for a continuous group, the
+    matched code's position or ``size`` (no match) for a categorical
+    one, and ``size + 1`` for a missing value.  Counting ``keys <= v``
+    over sorted keys is what ``searchsorted(side="right")`` computes, so
+    a +inf value lands in bucket ``size``; the NaN padding never compares
+    true, so it neither counts nor matches.  The slot tables of every
+    (group, head) pair, in fold order, sit end to end in ``tables``.
+    """
+
+    features: np.ndarray          # (G,) column each group reads
+    sizes: np.ndarray             # (G,) keys per group
+    keys: np.ndarray              # (G, K) keys, NaN-padded
+    continuous: np.ndarray        # indices of continuous groups
+    categorical: np.ndarray       # indices of categorical groups
+    continuous_keys: np.ndarray   # keys[continuous], trimmed
+    categorical_keys: np.ndarray  # keys[categorical], trimmed
+    pair_groups: np.ndarray       # (P,) group of each pair
+    pair_heads: np.ndarray        # (P,) head position of each pair
+    pair_offsets: np.ndarray      # (P,) start of its slot table
+    tables: np.ndarray            # every pair's slot table, flattened
+
+    @classmethod
+    def build(cls, groups, pairs) -> "_SlotGrid":
+        """Args: the scorer's groups, and ``(group index, head position,
+        slot table)`` for every pair in fold order."""
+        sizes = np.array([g.keys.size for g in groups], dtype=np.intp)
+        keys = np.full((len(groups), int(sizes.max(initial=0))), np.nan)
+        for i, group in enumerate(groups):
+            keys[i, : group.keys.size] = group.keys
+        kinds = np.array([g.categorical for g in groups], dtype=bool)
+        continuous = np.flatnonzero(~kinds)
+        categorical = np.flatnonzero(kinds)
+        lengths = np.array([t.size for _, _, t in pairs], dtype=np.intp)
+        return cls(
+            features=np.array([g.feature for g in groups], dtype=np.intp),
+            sizes=sizes,
+            keys=keys,
+            continuous=continuous,
+            categorical=categorical,
+            continuous_keys=keys[continuous, : sizes[continuous].max(initial=0)],
+            categorical_keys=keys[categorical, : sizes[categorical].max(initial=0)],
+            pair_groups=np.array([g for g, _, _ in pairs], dtype=np.intp),
+            pair_heads=np.array([h for _, h, _ in pairs], dtype=np.intp),
+            pair_offsets=np.cumsum(lengths) - lengths,
+            tables=np.concatenate([np.empty(0)] + [t for _, _, t in pairs]),
+        )
+
+    def slots(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(slots, values), both (n, G), for the rows of ``X``."""
+        values = X[:, self.features]
+        slot = np.empty(values.shape, dtype=np.intp)
+        if self.continuous.size:
+            below = self.continuous_keys <= values[:, self.continuous, None]
+            slot[:, self.continuous] = np.count_nonzero(below, axis=2)
+        if self.categorical.size:
+            hit = self.categorical_keys == values[:, self.categorical, None]
+            slot[:, self.categorical] = np.where(
+                hit.any(axis=2), hit.argmax(axis=2), self.sizes[self.categorical]
+            )
+        return np.where(np.isnan(values), self.sizes + 1, slot), values
+
+    def votes(self, slot: np.ndarray) -> np.ndarray:
+        """(n, P) vote of every pair: one gather from the slot tables."""
+        return self.tables[self.pair_offsets + slot[:, self.pair_groups]]
+
+    def head_sums(self, votes: np.ndarray, n_heads: int) -> np.ndarray:
+        """(n, n_heads) per-head vote sums, added in fold order.
+
+        A weighted ``np.bincount`` adds its weights into a zeroed output
+        one at a time, in input order -- like an unbuffered ``np.add.at``
+        but ~4x faster -- so each head accumulates its votes in the same
+        sequence as the per-group loop, starting from the same zero.
+        """
+        n = votes.shape[0]
+        cells = (np.arange(n)[:, None] * n_heads + self.pair_heads).ravel()
+        sums = np.bincount(cells, weights=votes.ravel(), minlength=n * n_heads)
+        return sums.reshape(n, n_heads)
+
+
 @dataclass(frozen=True)
 class CompiledEnsemble:
     """A stump ensemble compiled to per-feature threshold/score tables.
@@ -213,6 +326,14 @@ class CompiledEnsemble:
                 )
             margin += self._group_contribution(group, col)
         return margin
+
+    @cached_property
+    def grid(self) -> _SlotGrid:
+        """The slot grid of this ensemble (one head, one pair per group)."""
+        return _SlotGrid.build(
+            self.groups,
+            [(i, 0, _slot_table(g)) for i, g in enumerate(self.groups)],
+        )
 
     @staticmethod
     def _group_contribution(group: _FeatureGroup, col: np.ndarray) -> np.ndarray:
@@ -371,6 +492,18 @@ class MultiHeadEnsemble:
     head_columns: np.ndarray
     groups: tuple[_MergedGroup, ...]
 
+    @cached_property
+    def grid(self) -> _SlotGrid:
+        """The slot grid: every (group, head) pair in fold order."""
+        return _SlotGrid.build(
+            self.groups,
+            [
+                (i, int(pos), table)
+                for i, group in enumerate(self.groups)
+                for pos, table in zip(group.head_positions, group.tables)
+            ],
+        )
+
     def decision_matrix(
         self, X: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
@@ -384,6 +517,10 @@ class MultiHeadEnsemble:
 
         Returns:
             ``out`` (or a fresh zero-initialised matrix).
+
+        Up to :data:`SMALL_BATCH_ROWS` rows are scored on the slot grid,
+        larger batches by the per-group loop; both produce the same
+        doubles.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
@@ -398,6 +535,13 @@ class MultiHeadEnsemble:
                 f"out must have shape ({n}, {self.n_heads}), got {out.shape}"
             )
         if not self.head_columns.size:
+            return out
+        if n <= SMALL_BATCH_ROWS:
+            grid = self.grid
+            slot, _ = grid.slots(X)
+            out[:, self.head_columns] = grid.head_sums(
+                grid.votes(slot), self.head_columns.size
+            )
             return out
         acc = np.zeros((n, self.head_columns.size))
         for group in self.groups:

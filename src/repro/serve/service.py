@@ -35,18 +35,28 @@ returning ``(status, payload)`` pairs, so tests and the in-process smoke
 check can drive it without sockets.
 
 All service telemetry lives on the :mod:`repro.obs` registry
-(``repro_http_requests_total``, ``repro_http_request_seconds``, the
-scoring totals); ``/metrics`` takes one snapshot under the registry lock
-and formats it outside, so a slow scrape never blocks handler threads.
+(``repro_http_requests_total``, ``repro_http_request_seconds``,
+``repro_http_errors_total``, the scoring totals); ``/metrics`` takes one
+snapshot under the registry lock and formats it outside, so a slow
+scrape never blocks handler threads.  A route that raises anything
+unexpected answers 500 -- logged, counted and fed to the SLO monitor --
+instead of dropping the keep-alive connection.
+
+Each response leaves the handler as one socket write with Nagle's
+algorithm off: a header write followed by a body write would hold the
+body until the client ACKs the headers, and the client's delayed ACK
+makes that ~40 ms per keep-alive read (DESIGN.md §8).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
+from repro.obs.log import get_logger, kv
 from repro.obs.metrics import get_registry
 from repro.obs.slo import DEFAULT_SLOS, SLOMonitor
 from repro.obs.tracing import flame_report, get_tracer, tracing_enabled
@@ -56,6 +66,8 @@ from repro.serve.scoring import DEFAULT_SHARD_SIZE, ScoringEngine
 from repro.serve.store import LineWeekStore, StoredWorld
 
 __all__ = ["ScoringService", "make_server"]
+
+LOG = get_logger("serve.service")
 
 #: Request latencies: cached reads are sub-millisecond (often tens of
 #: microseconds), a cold scoring run can take seconds.
@@ -120,6 +132,10 @@ class ScoringService:
         metrics = get_registry()
         self._requests_total = metrics.counter(
             "repro_http_requests_total", "HTTP requests handled, by route"
+        )
+        self._errors_total = metrics.counter(
+            "repro_http_errors_total",
+            "HTTP error responses (status >= 400), by route and status",
         )
         self._request_seconds = metrics.histogram(
             "repro_http_request_seconds",
@@ -500,8 +516,16 @@ class ScoringService:
             result = exc.status, {"error": str(exc)}
         except (KeyError, ValueError) as exc:
             result = 400, {"error": str(exc)}
+        except Exception as exc:  # noqa: BLE001 -- every request gets a status
+            LOG.error(kv(
+                "http.internal_error", route=parts.path,
+                error=f"{type(exc).__name__}: {exc}",
+            ), exc_info=True)
+            result = 500, {"error": f"internal error: {type(exc).__name__}"}
         elapsed = time.perf_counter() - start
         self._request_seconds.observe(elapsed, route=parts.path)
+        if result[0] >= 400:
+            self._errors_total.inc(route=parts.path, status=str(result[0]))
         self.slo_monitor.observe(parts.path, elapsed, result[0])
         return result
 
@@ -556,6 +580,27 @@ def _scalar(snapshot: dict, name: str) -> float:
     return 0.0
 
 
+class _ResponseBuffer(io.BytesIO):
+    """The handler's ``wfile``: collects a response, sends it on flush.
+
+    ``handle_one_request`` flushes ``wfile`` after every request (and
+    ``finish`` before closing), so the status line, headers and body of
+    each response -- error pages included -- reach the socket in one
+    ``sendall``, whatever the body's size.
+    """
+
+    def __init__(self, sock):
+        super().__init__()
+        self._sock = sock
+
+    def flush(self) -> None:
+        data = self.getvalue()
+        if data:
+            self.seek(0)
+            self.truncate()
+            self._sock.sendall(data)
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Thin adapter around :meth:`ScoringService.dispatch_request`."""
 
@@ -566,6 +611,17 @@ class _Handler(BaseHTTPRequestHandler):
     # handshakes would dominate those tiny responses.  Safe because
     # _respond always sends an exact Content-Length.
     protocol_version = "HTTP/1.1"
+
+    # TCP_NODELAY: with Nagle on, any response that leaves in more than
+    # one segment (a large /trace or /dispatch?explain=1 body) waits for
+    # the client's delayed ACK, ~40 ms, before its last segment is sent.
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        # The stdlib's unbuffered wfile sent headers and body as two
+        # segments, and Nagle held the body for the client's delayed ACK.
+        self.wfile = _ResponseBuffer(self.connection)
 
     def _respond(self, method: str) -> None:
         status, payload = self.service.dispatch_request(method, self.path)

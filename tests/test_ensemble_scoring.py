@@ -13,9 +13,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.explain.attribution import (
+    FeatureContribution,
+    MarginAttribution,
+    attribute_ensemble,
+    attribute_head,
+)
 from repro.ml.boostexter import BStump, BStumpConfig
 from repro.ml.ensemble_scoring import (
+    SMALL_BATCH_ROWS,
     CompiledEnsemble,
+    compile_multihead,
     compile_stumps,
     naive_grouped_margin,
 )
@@ -217,6 +225,163 @@ def test_duplicate_thresholds_fold_in_round_order():
     assert np.array_equal(
         compiled.decision_function(X), naive_grouped_margin(stumps, X, 2)
     )
+
+
+# ----- small-batch slot grid vs the per-group loop -------------------------
+
+
+def _bits(a) -> np.ndarray:
+    """The raw IEEE-754 bit patterns, so -0.0 != 0.0 and NaN == NaN."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _edge_heads(rng, n_features=5, n_heads=6):
+    """Heads over shared columns, with gaps; feature 1 is categorical.
+
+    Continuous thresholds are drawn from a small set (plus +-inf) so the
+    edge rows can sit exactly on them, and the heads' key counts differ,
+    so the merged grid is padded for most groups.
+    """
+    heads = {}
+    for col in range(0, n_heads, 2):
+        stumps = []
+        for _ in range(int(rng.integers(4, 14))):
+            feature = int(rng.integers(n_features))
+            categorical = feature == 1
+            if categorical:
+                threshold = float(rng.integers(0, 4))
+            else:
+                threshold = float(rng.choice(
+                    [-1.0, -0.25, 0.0, 0.5, 2.0, -np.inf, np.inf]
+                ))
+            stumps.append(Stump(
+                feature=feature, threshold=threshold, categorical=categorical,
+                s_lo=float(rng.normal()), s_hi=float(rng.normal()),
+                s_miss=float(rng.normal()), z=1.0,
+            ))
+        heads[col] = compile_stumps(stumps, n_features)
+    return heads
+
+
+def _edge_rows(rng, n, n_features=5):
+    """Rows mixing NaN, +-inf, -0.0, on-threshold values and category
+    codes that match (0..3), miss (7, -1) or are +inf."""
+    pool = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, -1.0, -0.25, 0.5,
+                     2.0, 0.3, -5.0, 9.0])
+    X = rng.choice(pool, size=(n, n_features))
+    X[:, 1] = rng.choice(
+        np.array([0.0, 1.0, 2.0, 3.0, 7.0, -1.0, np.inf, -np.inf, np.nan]),
+        size=n,
+    )
+    return X
+
+
+@pytest.fixture(scope="module")
+def edge_case():
+    rng = np.random.default_rng(20100808)
+    heads = _edge_heads(rng)
+    multi = compile_multihead(heads, n_heads=6, n_features=5)
+    return heads, multi, _edge_rows(rng, 4 * SMALL_BATCH_ROWS)
+
+
+def test_grid_matrix_bit_identical_to_loop_at_every_small_n(edge_case):
+    heads, multi, X = edge_case
+    filler = X[: SMALL_BATCH_ROWS + 1]
+    for n in range(1, SMALL_BATCH_ROWS + 2):
+        small = multi.decision_matrix(X[:n])
+        # Stacked past the cutoff, the same rows take the per-group loop.
+        looped = multi.decision_matrix(np.vstack([X[:n], filler]))[:n]
+        assert np.array_equal(_bits(small), _bits(looped)), n
+        for col, head in heads.items():
+            assert np.array_equal(
+                _bits(small[:, col]), _bits(head.decision_function(X[:n]))
+            ), (n, col)
+
+
+def test_grid_matrix_respects_out_columns(edge_case):
+    _, multi, X = edge_case
+    out = np.full((3, 6), 7.5)
+    assert multi.decision_matrix(X[:3], out=out) is out
+    assert np.all(out[:, 1::2] == 7.5)
+
+
+def test_grid_slots_stay_in_range(edge_case):
+    _, multi, X = edge_case
+    grid = multi.grid
+    slot, values = grid.slots(X)
+    missing = np.isnan(values)
+    assert np.array_equal(slot[missing], np.broadcast_to(
+        grid.sizes + 1, slot.shape)[missing])
+    assert np.all(slot[~missing] <= np.broadcast_to(
+        grid.sizes, slot.shape)[~missing])
+    # +inf sits past every finite key -- bucket ``size``, never beyond --
+    # and matches no category code: the NaN padding never compares true.
+    inf = np.full((1, 5), np.inf)
+    slot, _ = grid.slots(inf)
+    assert np.array_equal(slot[0], grid.sizes)
+
+
+def test_attribution_folds_match_both_paths(edge_case):
+    heads, multi, X = edge_case
+    n = SMALL_BATCH_ROWS + 1
+    looped = multi.decision_matrix(X[:n])
+    for i in range(n):
+        row = X[i]
+        single = multi.decision_matrix(row[None])[0]
+        for col, head in heads.items():
+            solo = attribute_ensemble(head, row)
+            assert _bits(solo.margin) == _bits(head.decision_function(row[None])[0])
+            assert _bits(solo.reconstructed()) == _bits(solo.margin)
+            stacked = attribute_head(multi, row, col)
+            assert _bits(stacked.margin) == _bits(single[col])
+            assert _bits(stacked.margin) == _bits(looped[i, col])
+            assert [c.contribution for c in stacked.contributions] == [
+                c.contribution for c in solo.contributions
+            ]
+
+
+def test_attribution_evidence_on_edge_values():
+    stumps = [
+        Stump(feature=0, threshold=0.5, s_lo=1.0, s_hi=2.0, s_miss=-3.0,
+              categorical=False, z=1.0),
+        Stump(feature=0, threshold=2.0, s_lo=0.25, s_hi=0.5, s_miss=0.0,
+              categorical=False, z=1.0),
+        Stump(feature=1, threshold=3.0, s_lo=-1.0, s_hi=4.0, s_miss=0.5,
+              categorical=True, z=1.0),
+    ]
+    compiled = compile_stumps(stumps, 2)
+    on = attribute_ensemble(compiled, np.array([2.0, 3.0])).contributions
+    assert (on[0].thresholds_crossed, on[0].threshold) == (2, 2.0)
+    assert (on[1].thresholds_crossed, on[1].threshold) == (1, 3.0)
+    inf = attribute_ensemble(compiled, np.array([np.inf, np.inf])).contributions
+    assert inf[0].thresholds_crossed == 2 and inf[1].thresholds_crossed == 0
+    assert np.isnan(inf[1].threshold)
+    nan = attribute_ensemble(compiled, np.array([np.nan, np.nan])).contributions
+    assert all(c.missing and c.thresholds_crossed == 0 for c in nan)
+    assert [c.contribution for c in nan] == [-3.0, 0.5]
+    empty = attribute_ensemble(compile_stumps([], 2), np.zeros(2))
+    assert empty.margin == 0.0 and empty.contributions == ()
+
+
+def test_top_k_equals_ranked_prefix_with_ties():
+    votes = [0.5, -2.0, 2.0, 0.0, -0.5, 1.0, 2.0]
+    attribution = MarginAttribution(
+        margin=sum(votes),
+        contributions=tuple(
+            FeatureContribution(
+                feature=i, name=None, categorical=False, value=0.0,
+                missing=False, contribution=v, thresholds_crossed=0,
+                n_thresholds=1, threshold=float("nan"),
+            )
+            for i, v in enumerate(votes)
+        ),
+    )
+    ranked = attribution.ranked()
+    for k in range(1, len(votes) + 2):
+        assert attribution.top(k) == ranked[:k]
+    assert [c.feature for c in attribution.top(3)] == [1, 2, 6]
+    with pytest.raises(ValueError):
+        attribution.top(0)
 
 
 try:

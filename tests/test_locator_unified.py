@@ -27,7 +27,11 @@ from repro.data.joins import LocatorDataset
 from repro.features.encoding import FeatureSet
 from repro.ml.binning import BinnedDataset
 from repro.ml.boostexter import BStump, BStumpConfig
-from repro.ml.ensemble_scoring import compile_multihead, compile_stumps
+from repro.ml.ensemble_scoring import (
+    SMALL_BATCH_ROWS,
+    compile_multihead,
+    compile_stumps,
+)
 from repro.ml.serialize import (
     _CHECKSUM_FIELD,
     combined_locator_from_dict,
@@ -302,6 +306,64 @@ class TestVectorisedScoring:
             assert np.array_equal(
                 model.predict_proba(X), _reference_combined_proba(model, X)
             )
+
+
+def _edge_locator_rows(model: CombinedLocator, X: np.ndarray, rng) -> np.ndarray:
+    """Test rows rewritten with NaN, +-inf and exact threshold values.
+
+    Continuous cells are set to one of the stacked disposition scorer's
+    merged thresholds, categorical ones to a tested code, an untested
+    code or +inf, before NaN and +-inf are sprinkled over the rest.
+    """
+    X = X.copy()
+    grid = model.flat._stacked().grid
+    for g, feature in enumerate(grid.features):
+        keys = grid.keys[g, : grid.sizes[g]]
+        rows = rng.random(len(X)) < 0.5
+        if feature in grid.features[grid.categorical]:
+            choices = np.concatenate([keys, [keys.max() + 7.0, np.inf]])
+        else:
+            choices = keys
+        X[rows, feature] = rng.choice(choices, size=int(rows.sum()))
+    specials = rng.choice(np.array([np.nan, np.inf, -np.inf]), size=X.shape)
+    X = np.where(rng.random(X.shape) < 0.15, specials, X)
+    return X
+
+
+class TestSmallBatchLocate:
+    """``predict_proba`` on the slot grid equals the per-group loop."""
+
+    @pytest.mark.parametrize("backend", ["exact", "hist"])
+    def test_combined_proba_bit_identical_at_every_small_n(
+        self, fitted_pair, backend
+    ):
+        _, test, exact, hist = fitted_pair
+        model = exact if backend == "exact" else hist
+        rng = np.random.default_rng(7)
+        X = _edge_locator_rows(model, test.features.matrix, rng)
+        filler = X[: SMALL_BATCH_ROWS + 1]
+        reference = _reference_combined_proba(model, X[: SMALL_BATCH_ROWS + 1])
+        for n in range(1, SMALL_BATCH_ROWS + 2):
+            small = model.predict_proba(X[:n])
+            looped = model.predict_proba(np.vstack([X[:n], filler]))[:n]
+            assert np.array_equal(small.view(np.uint64), looped.view(np.uint64)), n
+            assert np.array_equal(small, reference[:n]), n
+
+    def test_flat_margins_and_head_attribution(self, fitted_pair):
+        from repro.explain.attribution import attribute_head
+
+        _, test, exact, _ = fitted_pair
+        rng = np.random.default_rng(8)
+        X = _edge_locator_rows(exact, test.features.matrix, rng)[:5]
+        stacked = exact.flat._stacked()
+        looped = _reference_decision_matrix(exact.flat, X)
+        for i, row in enumerate(X):
+            single = exact.flat.decision_matrix(row)
+            assert np.array_equal(single[0], looped[i])
+            for code in stacked.head_columns[:8]:
+                attribution = attribute_head(stacked, row, int(code))
+                assert attribution.margin == looped[i, code]
+                assert attribution.reconstructed() == attribution.margin
 
 
 # ----- hist-vs-exact parity -----------------------------------------------

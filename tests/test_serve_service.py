@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
 
+from repro.obs.metrics import get_registry
 from repro.serve import ModelBundle, ModelRegistry, ScoringService, make_server
+from repro.serve.service import _Handler
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +122,33 @@ class TestRouting:
         service.dispatch_request("GET", "/healthz")
         assert service.slo_monitor._pending_observations == before + 1
 
+    def test_unexpected_errors_answer_500_and_burn_budget(
+        self, service, monkeypatch
+    ):
+        def broken(self, query):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setitem(ScoringService._GET_ROUTES, "/healthz", broken)
+        errors = get_registry().counter("repro_http_errors_total")
+        before = errors.value(route="/healthz", status="500")
+        monitor = service.slo_monitor
+        bad_before = (monitor._pending_total["availability"]
+                      - monitor._pending_good["availability"])
+        status, payload = service.dispatch_request("GET", "/healthz")
+        assert status == 500
+        assert payload == {"error": "internal error: RuntimeError"}
+        assert errors.value(route="/healthz", status="500") == before + 1
+        bad_after = (monitor._pending_total["availability"]
+                     - monitor._pending_good["availability"])
+        assert bad_after == bad_before + 1
+
+    def test_client_errors_are_counted_by_status(self, service):
+        errors = get_registry().counter("repro_http_errors_total")
+        before = errors.value(route="/score", status="400")
+        status, _ = service.dispatch_request("GET", "/score?line=abc")
+        assert status == 400
+        assert errors.value(route="/score", status="400") == before + 1
+
     def test_reload_follows_rollback(self, service):
         assert service.model_version == "v0002"
         service.registry.rollback()
@@ -128,7 +161,131 @@ class TestRouting:
         service.reload()
 
 
+class _RecordingSocket:
+    """A connection that replays raw requests and records every send."""
+
+    def __init__(self, raw: bytes):
+        self._raw = raw
+        self.sends: list[bytes] = []
+        self.options: list[tuple] = []
+
+    def makefile(self, mode, *args, **kwargs):
+        assert "r" in mode, "responses must not go through a socket file"
+        return io.BytesIO(self._raw)
+
+    def setsockopt(self, *option):
+        self.options.append(option)
+
+    def sendall(self, data):
+        self.sends.append(bytes(data))
+
+    def send(self, data):  # pragma: no cover - a second send path
+        raise AssertionError("responses must leave through one sendall")
+
+
+def _split_responses(data: bytes) -> list[tuple[int, bytes]]:
+    """(status, body) of each HTTP response in ``data``."""
+    out = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        length = next(
+            int(line.split(b":", 1)[1])
+            for line in lines
+            if line.lower().startswith(b"content-length:")
+        )
+        out.append((int(lines[0].split()[1]), rest[:length]))
+        data = rest[length:]
+    return out
+
+
+class TestOneWritePerResponse:
+    """Headers and body leave in one write, with Nagle off."""
+
+    def test_json_text_and_error_routes(self, service):
+        targets = [
+            "/score?line=3",                 # JSON
+            "/metrics?format=prometheus",    # text, several KB
+            "/score?line=abc",               # 400
+            "/nowhere",                      # 404, unknown route
+        ]
+        raw = b"".join(
+            f"GET {t} HTTP/1.1\r\nHost: test\r\n\r\n".encode()
+            for t in targets
+        )
+        sock = _RecordingSocket(raw)
+        handler = type("Bound", (_Handler,), {"service": service})
+        handler(sock, ("127.0.0.1", 0), None)
+        assert len(sock.sends) == len(targets)
+        statuses = []
+        for sent in sock.sends:
+            responses = _split_responses(sent)
+            assert len(responses) == 1  # the whole response, nothing else
+            statuses.append(responses[0][0])
+        assert statuses == [200, 200, 400, 404]
+        assert b"repro_http_requests_total" in sock.sends[1]
+        assert (socket.IPPROTO_TCP, socket.TCP_NODELAY, True) in sock.options
+
+    def test_malformed_request_is_one_write(self, service):
+        # Rejected by the stdlib handler (send_error), before any route
+        # runs: the error page is flushed as one write too.
+        sock = _RecordingSocket(b"BREW /pot HTTP/1.1\r\n\r\n")
+        handler = type("Bound", (_Handler,), {"service": service})
+        handler(sock, ("127.0.0.1", 0), None)
+        assert len(sock.sends) == 1
+        [(status, body)] = _split_responses(sock.sends[0])
+        assert status == 501 and body
+
+
 class TestHttpServer:
+    def test_keepalive_reads_do_not_stall(self, service):
+        # Nagle plus the client's delayed ACK held a split header/body
+        # response ~40 ms, so 20 back-to-back reads took >= 0.8 s.
+        server = make_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=30
+        )
+        try:
+            conn.request("GET", "/score?line=0")  # open + warm the week
+            assert conn.getresponse().read()
+            t0 = time.perf_counter()
+            for i in range(20):
+                conn.request("GET", f"/score?line={i}")
+                response = conn.getresponse()
+                assert response.status == 200
+                json.loads(response.read())
+            elapsed = time.perf_counter() - t0
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+        assert elapsed < 0.4, f"20 keep-alive reads took {elapsed:.3f}s"
+
+    def test_500_keeps_the_connection(self, service, monkeypatch):
+        def broken(self, query):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(ScoringService._GET_ROUTES, "/health", broken)
+        server = make_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=30
+        )
+        try:
+            conn.request("GET", "/health")
+            response = conn.getresponse()
+            assert response.status == 500
+            assert "error" in json.loads(response.read())
+            conn.request("GET", "/healthz")  # same connection
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+
     def test_endpoints_over_real_http(self, service):
         server = make_server(service, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
