@@ -27,7 +27,6 @@ are already binary so the paper's m-way expansion is the identity here.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,15 +274,14 @@ class LineFeatureEncoder:
         history = history[(history < week) & (history >= week - cfg.history_weeks)]
         if history.size == 0:
             return np.full_like(current, np.nan)
-        series = np.asarray(measurements.data[:, history, :], dtype=float)
-        counts = np.sum(~np.isnan(series), axis=1)
-        with np.errstate(invalid="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", category=RuntimeWarning)
-            mean = np.nanmean(series, axis=1)
-            std = np.nanstd(series, axis=1)
+        # ``take`` copies, so the in-place passes below never write the
+        # store's cube (``astype`` adds no second copy for float64 data).
+        series = np.take(measurements.data, history, axis=1).astype(float, copy=False)
+        mean, std, counts = _nan_moments(series)
         enough = counts >= cfg.min_history_records
         std = np.where(std > 1e-9, std, np.nan)
-        deviation = (current - mean) / std
+        with np.errstate(invalid="ignore"):
+            deviation = (current - mean) / std
         deviation[~enough] = np.nan
         return deviation
 
@@ -313,3 +311,29 @@ class LineFeatureEncoder:
             ]
         )
         return per_profile[population.profile_idx]
+
+
+def _nan_moments(series: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``nanmean``, ``nanstd`` and the present-record count over axis 1.
+
+    One pass over ``series``, which is overwritten.  The steps are numpy's
+    own ``nanmean``/``nanvar`` sequence -- zero the NaNs, sum, divide by
+    the count, subtract, re-zero, square, sum, divide, square root -- on
+    the same array shape, so both results are bit-identical to calling
+    the two functions, which would each copy and sum the window again.
+    Rows with no record come out NaN, as from numpy, but silently.
+    """
+    missing = np.isnan(series)
+    counts = np.sum(~missing, axis=1)
+    np.copyto(series, 0.0, where=missing)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.sum(series, axis=1, keepdims=True)
+        np.divide(mean, counts[:, None, :], out=mean)
+        np.subtract(series, mean, out=series)
+        np.copyto(series, 0.0, where=missing)
+        np.multiply(series, series, out=series)
+        var = np.sum(series, axis=1)
+        np.divide(var, counts, out=var)
+    # nanvar writes a canonical NaN where no record is present.
+    np.copyto(var, np.nan, where=counts == 0)
+    return mean[:, 0, :], np.sqrt(var, out=var), counts

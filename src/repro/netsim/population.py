@@ -15,6 +15,7 @@ tens of lines each, per Section 2.1) and BRAS servers, with:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,64 +170,62 @@ def build_population(config: PopulationConfig | None = None) -> Population:
 
 
 def _build_topology(n: int, config: PopulationConfig, rng: np.random.Generator) -> Topology:
-    """Assign lines to DSLAMs (variable fill) and DSLAMs to BRAS servers."""
-    fills: list[int] = []
-    remaining = n
-    while remaining > 0:
-        fill = int(np.clip(rng.normal(config.mean_lines_per_dslam,
-                                      config.mean_lines_per_dslam * 0.25), 8, None))
-        fill = min(fill, remaining)
-        fills.append(fill)
-        remaining -= fill
+    """Assign lines to DSLAMs (variable fill) and DSLAMs to BRAS servers.
+
+    Array-shaped, but draw for draw the per-group loop it replaced: every
+    DSLAM or binder fill is one ``rng.normal`` draw, taken in order until
+    the lines run out.  The fills are cut from a batch drawn past the
+    worst case, then the generator is rewound and exactly the consumed
+    draws are taken again, so ``rng`` leaves in the state the loop left it.
+    """
+    mean_dslam = config.mean_lines_per_dslam
+    # Every DSLAM but the last takes >= 8 lines: ceil(n / 8) draws suffice.
+    state = rng.bit_generator.state
+    fills = _fills(rng, mean_dslam, 8, -(-n // 8))
+    cum = np.cumsum(fills)
+    n_dslams = int(np.searchsorted(cum, n)) + 1
+    fills = fills[:n_dslams]
+    fills[-1] = n - (cum[n_dslams - 2] if n_dslams > 1 else 0)
+    _rewind(rng, state, mean_dslam, n_dslams)
 
     line_ids = rng.permutation(n)
     line_dslam = np.empty(n, dtype=int)
-    dslams: list[Dslam] = []
-    cursor = 0
-    n_dslams = len(fills)
-    for dslam_id, fill in enumerate(fills):
-        members = np.sort(line_ids[cursor:cursor + fill])
-        cursor += fill
-        bras_id = dslam_id // config.dslams_per_bras
-        geo = dslam_id % max(1, n_dslams // 4 or 1)
-        dslams.append(Dslam(dslam_id=dslam_id, bras_id=bras_id, geo=geo,
-                            line_ids=members))
-        line_dslam[members] = dslam_id
+    line_dslam[line_ids] = np.repeat(np.arange(n_dslams), fills)
+    # DSLAM-major, line-sorted within each DSLAM: every DSLAM's members
+    # and every binder's members are one contiguous slice of ``order``.
+    order = np.argsort(line_dslam, kind="stable")
+    dslam_bounds = np.concatenate(([0], np.cumsum(fills))).tolist()
+    geo_buckets = max(1, n_dslams // 4 or 1)
+    dslams = [
+        Dslam(dslam_id=d, bras_id=d // config.dslams_per_bras,
+              geo=d % geo_buckets,
+              line_ids=order[dslam_bounds[d]:dslam_bounds[d + 1]])
+        for d in range(n_dslams)
+    ]
 
-    n_brases = (n_dslams + config.dslams_per_bras - 1) // config.dslams_per_bras
+    per_bras = config.dslams_per_bras
+    n_brases = (n_dslams + per_bras - 1) // per_bras
     brases = [
-        Bras(
-            bras_id=b,
-            dslam_ids=np.array(
-                [d.dslam_id for d in dslams if d.bras_id == b], dtype=int
-            ),
-        )
+        Bras(bras_id=b,
+             dslam_ids=np.arange(b * per_bras, min((b + 1) * per_bras, n_dslams)))
         for b in range(n_brases)
     ]
-    bras_of_dslam = np.array([d.bras_id for d in dslams], dtype=int)
-    line_bras = bras_of_dslam[line_dslam]
+    line_bras = (np.arange(n_dslams) // per_bras)[line_dslam]
 
     # Binder groups: partition each DSLAM's pairs into F1/F2 sheath
     # bundles.  Drawn last so the per-line population arrays above are
     # bit-identical to topologies built before binders existed.
-    binders: list[Binder] = []
+    binder_sizes, binders_per_dslam = _binder_fills(rng, config, fills)
+    n_binders = binder_sizes.size
     line_binder = np.empty(n, dtype=int)
-    mean_binder = max(2, config.mean_lines_per_binder)
-    for dslam in dslams:
-        members = dslam.line_ids
-        cursor = 0
-        while cursor < members.size:
-            fill = int(np.clip(rng.normal(mean_binder, mean_binder * 0.25),
-                               2, None))
-            remaining = members.size - cursor
-            # Avoid leaving a sub-minimum tail bundle behind.
-            if remaining - fill < 2:
-                fill = remaining
-            bundle = members[cursor:cursor + fill]
-            cursor += fill
-            line_binder[bundle] = len(binders)
-            binders.append(Binder(binder_id=len(binders),
-                                  dslam_id=dslam.dslam_id, line_ids=bundle))
+    line_binder[order] = np.repeat(np.arange(n_binders), binder_sizes)
+    binder_bounds = np.concatenate(([0], np.cumsum(binder_sizes))).tolist()
+    binder_dslam = np.repeat(np.arange(n_dslams), binders_per_dslam).tolist()
+    binders = [
+        Binder(binder_id=b, dslam_id=binder_dslam[b],
+               line_ids=order[binder_bounds[b]:binder_bounds[b + 1]])
+        for b in range(n_binders)
+    ]
 
     topology = Topology(
         brases=brases, dslams=dslams, line_dslam=line_dslam,
@@ -234,3 +233,47 @@ def _build_topology(n: int, config: PopulationConfig, rng: np.random.Generator) 
     )
     topology.validate()
     return topology
+
+
+def _fills(rng: np.random.Generator, mean: int, floor: int, size: int) -> np.ndarray:
+    """``size`` group fills ``max(floor, int(N(mean, mean / 4)))``."""
+    return np.clip(rng.normal(mean, mean * 0.25, size=size), floor, None).astype(int)
+
+
+def _rewind(rng: np.random.Generator, state: dict, mean: int, used: int) -> None:
+    """Reset ``rng`` to ``state`` and consume exactly ``used`` fill draws."""
+    rng.bit_generator.state = state
+    rng.normal(mean, mean * 0.25, size=used)
+
+
+def _binder_fills(
+    rng: np.random.Generator, config: PopulationConfig, dslam_fills: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Binder sizes in DSLAM order, and the binder count of each DSLAM.
+
+    Each DSLAM takes draws in turn; the first draw that would leave fewer
+    than two of its pairs behind closes it and takes the remainder instead.
+    """
+    mean = max(2, config.mean_lines_per_binder)
+    # A DSLAM of s lines closes within (s + 1) // 2 draws of >= 2 pairs.
+    bound = int(dslam_fills.sum()) // 2 + dslam_fills.size
+    state = rng.bit_generator.state
+    draws = _fills(rng, mean, 2, bound)
+    cum = np.cumsum(draws)
+    cum_list = cum.tolist()
+    closing: list[int] = []
+    start, base = 0, 0
+    for size in dslam_fills.tolist():
+        # First draw whose running total reaches size - 1 closes the DSLAM.
+        k = bisect_left(cum_list, base + size - 1, lo=start)
+        closing.append(k)
+        base = cum_list[k]
+        start = k + 1
+    _rewind(rng, state, mean, start)
+
+    last = np.asarray(closing)
+    opened_at = np.concatenate(([0], cum[last[:-1]]))
+    closing_sizes = dslam_fills - (cum[last] - draws[last] - opened_at)
+    sizes = draws[:start]
+    sizes[last] = closing_sizes
+    return sizes, np.diff(last, prepend=-1)

@@ -149,35 +149,48 @@ class Topology:
         return self.binders[binder_id].dslam_id
 
     def validate(self) -> None:
-        """Check referential integrity; raises ValueError on any breakage."""
+        """Check referential integrity; raises ValueError on any breakage.
+
+        Every check is one array operation over the concatenated
+        memberships, so validating a million-line plant costs a few
+        passes over its line ids rather than one Python step per group.
+        """
         n = self.n_lines
         if len(self.line_bras) != n:
             raise ValueError("line_bras and line_dslam cover different lines")
-        seen = np.zeros(n, dtype=bool)
-        for dslam in self.dslams:
-            if dslam.bras_id < 0 or dslam.bras_id >= self.n_brases:
-                raise ValueError(f"DSLAM {dslam.dslam_id} references bad BRAS")
-            if dslam.line_ids.size == 0:
-                raise ValueError(f"DSLAM {dslam.dslam_id} serves no lines")
-            if np.any(dslam.line_ids < 0) or np.any(dslam.line_ids >= n):
-                raise ValueError(
-                    f"DSLAM {dslam.dslam_id} references out-of-range lines"
-                )
-            if np.any(seen[dslam.line_ids]):
-                raise ValueError("a line is served by two DSLAMs")
-            seen[dslam.line_ids] = True
-            if np.any(self.line_dslam[dslam.line_ids] != dslam.dslam_id):
-                raise ValueError("line_dslam disagrees with DSLAM membership")
-        if not np.all(seen):
+        dslam_bras = _ids(self.dslams, "bras_id")
+        bad = (dslam_bras < 0) | (dslam_bras >= self.n_brases)
+        if bad.any():
+            dslam = self.dslams[int(np.argmax(bad))]
+            raise ValueError(f"DSLAM {dslam.dslam_id} references bad BRAS")
+        sizes = _sizes(self.dslams)
+        if (sizes == 0).any():
+            dslam = self.dslams[int(np.argmax(sizes == 0))]
+            raise ValueError(f"DSLAM {dslam.dslam_id} serves no lines")
+        lines, owner = _members(self.dslams, sizes)
+        bad = (lines < 0) | (lines >= n)
+        if bad.any():
+            dslam = self.dslams[int(owner[np.argmax(bad)])]
+            raise ValueError(
+                f"DSLAM {dslam.dslam_id} references out-of-range lines"
+            )
+        served = np.bincount(lines, minlength=n)
+        if (served > 1).any():
+            raise ValueError("a line is served by two DSLAMs")
+        if (self.line_dslam[lines] != _ids(self.dslams, "dslam_id")[owner]).any():
+            raise ValueError("line_dslam disagrees with DSLAM membership")
+        if (served == 0).any():
             raise ValueError("some lines are not served by any DSLAM")
-        for bras in self.brases:
-            for d in bras.dslam_ids:
-                if d < 0 or d >= self.n_dslams:
-                    raise ValueError(
-                        f"BRAS {bras.bras_id} references out-of-range DSLAM"
-                    )
-                if self.dslams[int(d)].bras_id != bras.bras_id:
-                    raise ValueError("BRAS membership disagrees with DSLAM uplink")
+
+        uplinks = [np.asarray(b.dslam_ids).astype(np.intp) for b in self.brases]
+        listed = np.concatenate(uplinks) if uplinks else np.empty(0, np.intp)
+        lister = np.repeat(np.arange(len(uplinks)), [u.size for u in uplinks])
+        bad = (listed < 0) | (listed >= self.n_dslams)
+        if bad.any():
+            bras = self.brases[int(lister[np.argmax(bad)])]
+            raise ValueError(f"BRAS {bras.bras_id} references out-of-range DSLAM")
+        if (dslam_bras[listed] != _ids(self.brases, "bras_id")[lister]).any():
+            raise ValueError("BRAS membership disagrees with DSLAM uplink")
         if self.has_binders:
             self._validate_binders(n)
         elif self.line_binder.size:
@@ -186,24 +199,49 @@ class Topology:
     def _validate_binders(self, n: int) -> None:
         if len(self.line_binder) != n:
             raise ValueError("line_binder does not cover every line")
-        in_binder = np.zeros(n, dtype=bool)
-        for index, binder in enumerate(self.binders):
-            if binder.binder_id != index:
-                raise ValueError("binder ids must match their list position")
-            if binder.dslam_id < 0 or binder.dslam_id >= self.n_dslams:
-                raise ValueError(
-                    f"binder {binder.binder_id} references bad DSLAM"
-                )
-            if binder.line_ids.size == 0:
-                raise ValueError(f"binder {binder.binder_id} holds no lines")
-            if np.any(in_binder[binder.line_ids]):
-                raise ValueError("a line runs through two binders")
-            in_binder[binder.line_ids] = True
-            if np.any(self.line_dslam[binder.line_ids] != binder.dslam_id):
-                raise ValueError(
-                    "binder members are not all served by the binder's DSLAM"
-                )
-            if np.any(self.line_binder[binder.line_ids] != binder.binder_id):
-                raise ValueError("line_binder disagrees with binder membership")
-        if not np.all(in_binder):
+        binder_ids = _ids(self.binders, "binder_id")
+        if (binder_ids != np.arange(self.n_binders)).any():
+            raise ValueError("binder ids must match their list position")
+        binder_dslam = _ids(self.binders, "dslam_id")
+        bad = (binder_dslam < 0) | (binder_dslam >= self.n_dslams)
+        if bad.any():
+            raise ValueError(f"binder {int(np.argmax(bad))} references bad DSLAM")
+        sizes = _sizes(self.binders)
+        if (sizes == 0).any():
+            raise ValueError(f"binder {int(np.argmax(sizes == 0))} holds no lines")
+        lines, owner = _members(self.binders, sizes)
+        bad = (lines < 0) | (lines >= n)
+        if bad.any():
+            raise ValueError(
+                f"binder {int(owner[np.argmax(bad)])} references out-of-range lines"
+            )
+        threaded = np.bincount(lines, minlength=n)
+        if (threaded > 1).any():
+            raise ValueError("a line runs through two binders")
+        if (self.line_dslam[lines] != binder_dslam[owner]).any():
+            raise ValueError(
+                "binder members are not all served by the binder's DSLAM"
+            )
+        if (self.line_binder[lines] != owner).any():
+            raise ValueError("line_binder disagrees with binder membership")
+        if (threaded == 0).any():
             raise ValueError("some lines run through no binder")
+
+
+def _ids(groups: list, attr: str) -> np.ndarray:
+    """One integer attribute of every group, as an array."""
+    return np.fromiter((getattr(g, attr) for g in groups), dtype=np.int64,
+                       count=len(groups))
+
+
+def _sizes(groups: list) -> np.ndarray:
+    return np.fromiter((g.line_ids.size for g in groups), dtype=np.intp,
+                       count=len(groups))
+
+
+def _members(groups: list, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All member line ids, concatenated, and each one's group position."""
+    if not groups:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    lines = np.concatenate([g.line_ids for g in groups])
+    return lines, np.repeat(np.arange(len(groups)), sizes)

@@ -38,9 +38,12 @@ All service telemetry lives on the :mod:`repro.obs` registry
 (``repro_http_requests_total``, ``repro_http_request_seconds``,
 ``repro_http_errors_total``, the scoring totals); ``/metrics`` takes one
 snapshot under the registry lock and formats it outside, so a slow
-scrape never blocks handler threads.  A route that raises anything
-unexpected answers 500 -- logged, counted and fed to the SLO monitor --
-instead of dropping the keep-alive connection.
+scrape never blocks handler threads.  A 4xx only ever comes from a
+handler's explicit ``_ServiceError`` (bad input is checked before the
+engine is asked); anything else a route raises -- a ``KeyError`` or
+``ValueError`` included -- is a server fault and answers 500, logged,
+counted and fed to the SLO monitor, instead of dropping the keep-alive
+connection.
 
 Each response leaves the handler as one socket write with Nagle's
 algorithm off: a header write followed by a body write would hold the
@@ -433,35 +436,36 @@ class ScoringService:
     def handle_locate(self, query) -> tuple[int, dict]:
         week = self._resolve_week(query)
         top = _int_param(query, "top") if "top" in query else 10
+        if top < 1:
+            raise _ServiceError(400, "top must be >= 1")
+        # Batched form: ?lines=a,b,c -- all lines ranked off one stacked
+        # multi-head locator pass.
+        batched = "lines" in query
+        lines = (
+            _int_list_param(query, "lines") if batched
+            else [_int_param(query, "line")]
+        )
         engine = self._require_engine()
         if engine.bundle.locator is None:
             raise _ServiceError(
                 409, "the active bundle was published without a locator"
             )
-        if "lines" in query:
-            # Batched form: ?lines=a,b,c -- all lines ranked off one
-            # stacked multi-head locator pass.
-            lines = _int_list_param(query, "lines")
-            try:
-                rankings = engine.locate_batch(week, lines, top_k=top)
-            except IndexError as exc:
-                raise _ServiceError(404, str(exc)) from None
+        try:
+            rankings = engine.locate_batch(week, lines, top_k=top)
+        except IndexError as exc:
+            raise _ServiceError(404, str(exc)) from None
+        if batched:
             return 200, {
                 "lines": lines,
                 "week": week,
                 "model_version": self.model_version,
                 "rankings": rankings,
             }
-        line = _int_param(query, "line")
-        try:
-            ranking = engine.locate(week, line, top_k=top)
-        except IndexError as exc:
-            raise _ServiceError(404, str(exc)) from None
         return 200, {
-            "line": line,
+            "line": lines[0],
             "week": week,
             "model_version": self.model_version,
-            "ranking": ranking,
+            "ranking": rankings[0],
         }
 
     def handle_lifecycle(self, query) -> tuple[int, dict]:
@@ -514,8 +518,6 @@ class ScoringService:
             result = handler(self, parse_qs(parts.query))
         except _ServiceError as exc:
             result = exc.status, {"error": str(exc)}
-        except (KeyError, ValueError) as exc:
-            result = 400, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 -- every request gets a status
             LOG.error(kv(
                 "http.internal_error", route=parts.path,

@@ -1,10 +1,18 @@
 """Unit tests for the Table-3 feature encoding (repro.features.encoding)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.features.encoding import EncoderConfig, FeatureSet, LineFeatureEncoder
-from repro.measurement.records import FEATURE_NAMES, feature_index
+from repro.features.encoding import (
+    EncoderConfig,
+    FeatureSet,
+    LineFeatureEncoder,
+    _nan_moments,
+)
+from repro.measurement.records import FEATURE_NAMES, MeasurementStore, feature_index
+from repro.netsim.population import PopulationConfig, build_population
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +155,104 @@ class TestEdgeCases:
             small_result_module.population,
         )
         assert np.all(np.isnan(fs.matrix[:, 50:75]))
+
+
+def _reference_timeseries(store, week, current, cfg):
+    """The time-series block from ``np.nanmean`` / ``np.nanstd``."""
+    history = store.filled_weeks
+    history = history[(history < week) & (history >= week - cfg.history_weeks)]
+    series = np.asarray(store.data[:, history, :], dtype=float)
+    counts = np.sum(~np.isnan(series), axis=1)
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", category=RuntimeWarning)
+        mean = np.nanmean(series, axis=1)
+        std = np.nanstd(series, axis=1)
+        std = np.where(std > 1e-9, std, np.nan)
+        deviation = (current - mean) / std
+    deviation[~(counts >= cfg.min_history_records)] = np.nan
+    return deviation
+
+
+def _awkward_store(n_lines=40, n_weeks=8, seed=0):
+    """Weeks 0..7 with every corner the time-series statistics meet."""
+    rng = np.random.default_rng(seed)
+    store = MeasurementStore(n_lines=n_lines, n_weeks=n_weeks)
+    data = rng.normal(50.0, 20.0, size=(n_lines, n_weeks, len(FEATURE_NAMES)))
+    data[rng.random(data.shape) < 0.2] = np.nan    # scattered modem-off
+    data[5, :-1, :] = np.nan                       # no history at all
+    data[6, :-1, :] = np.nan                       # a single record ...
+    data[6, 3, :] = 7.0
+    data[7, :-1, :] = np.nan                       # ... and two
+    data[7, 1:3, :] = rng.normal(size=(2, len(FEATURE_NAMES)))
+    data[8, :, :] = 12.5                           # zero variance
+    data[9, 2, :] = np.inf
+    data[10, 4, :] = -np.inf
+    data[11, 1, :], data[11, 5, :] = np.inf, -np.inf
+    data[12, -1, :] = np.inf                       # inf in the current week
+    data[:, :, 4] = np.nan                         # an all-missing column
+    for week in range(n_weeks):
+        store.add_week(week, 7 * week + 5, data[:, week, :])
+    return store
+
+
+class TestTimeseriesParity:
+    """The one-pass statistics against ``np.nanmean`` / ``np.nanstd``."""
+
+    @pytest.mark.parametrize("cfg", [
+        EncoderConfig(),
+        EncoderConfig(min_history_records=0),
+        EncoderConfig(min_history_records=1),
+        EncoderConfig(history_weeks=3),
+        EncoderConfig(history_weeks=1, min_history_records=1),
+    ])
+    @pytest.mark.parametrize("week", [1, 4, 7])
+    def test_bit_identical_to_nan_functions(self, cfg, week):
+        store = _awkward_store()
+        before = store.data.copy()
+        population = build_population(PopulationConfig(n_lines=store.n_lines))
+        fs = LineFeatureEncoder(cfg).encode(store, week, population)
+        current = np.asarray(store.week_matrix(week), dtype=float)
+        expected = _reference_timeseries(store, week, current, cfg)
+        got = np.ascontiguousarray(fs.matrix[:, 50:75])
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        # The block works on a private copy: the store is never written.
+        assert np.array_equal(store.data.view(np.uint32), before.view(np.uint32))
+
+    def test_moments_match_numpy_bit_for_bit(self):
+        store = _awkward_store()
+        series = np.asarray(store.data[:, :7, :], dtype=float)
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", category=RuntimeWarning)
+            mean = np.nanmean(series, axis=1)
+            std = np.nanstd(series, axis=1)
+        got_mean, got_std, counts = _nan_moments(series.copy())
+        assert np.array_equal(counts, np.sum(~np.isnan(series), axis=1))
+        for got, want in ((got_mean, mean), (got_std, std)):
+            got = np.ascontiguousarray(got)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_corners_are_reached(self):
+        store = _awkward_store()
+        current = np.asarray(store.week_matrix(7), dtype=float)
+        dev = _reference_timeseries(store, 7, current, EncoderConfig(min_history_records=1))
+        assert np.isnan(dev[5]).all() and np.isnan(dev[8]).all()
+        assert np.isfinite(dev[6]).sum() == 0     # single record: zero spread
+        assert np.isnan(dev[:, 4]).all()
+        assert np.isfinite(dev).any()
+
+    def test_lines_without_history_raise_no_warning(self):
+        store = MeasurementStore(n_lines=30, n_weeks=4)
+        rows = np.full((30, len(FEATURE_NAMES)), np.nan)
+        for week in range(3):
+            store.add_week(week, 7 * week + 5, rows)   # modem off throughout
+        store.add_week(3, 26, np.ones((30, len(FEATURE_NAMES))))
+        population = build_population(PopulationConfig(n_lines=30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fs = LineFeatureEncoder(EncoderConfig(min_history_records=0)).encode(
+                store, 3, population
+            )
+        assert np.isnan(fs.matrix[:, 50:75]).all()
 
 
 class TestFeatureSet:

@@ -1,5 +1,7 @@
 """Unit tests for the topology object model (repro.netsim.topology)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -152,4 +154,138 @@ class TestBinders:
         topo.binders[0] = Binder(binder_id=5, dslam_id=0,
                                  line_ids=np.array([0, 1, 2]))
         with pytest.raises(ValueError, match="list position"):
+            topo.validate()
+
+
+@pytest.fixture(scope="module")
+def plant():
+    from repro.netsim.population import PopulationConfig, build_population
+
+    return build_population(PopulationConfig(n_lines=10_000, seed=5)).topology
+
+
+def _copy(topo):
+    return Topology(
+        brases=list(topo.brases), dslams=list(topo.dslams),
+        line_dslam=topo.line_dslam.copy(), line_bras=topo.line_bras.copy(),
+        binders=list(topo.binders), line_binder=topo.line_binder.copy(),
+    )
+
+
+def _set_lines(groups, index, line_ids):
+    groups[index] = replace(groups[index], line_ids=np.asarray(line_ids))
+
+
+def _double_homed(t):
+    _set_lines(t.dslams, 5, np.append(t.dslams[5].line_ids, t.dslams[6].line_ids[0]))
+
+
+def _orphan(t):
+    _set_lines(t.dslams, 5, t.dslams[5].line_ids[:-1])
+
+
+def _out_of_range(t):
+    _set_lines(t.dslams, 5, np.append(t.dslams[5].line_ids, t.n_lines))
+
+
+def _negative_line(t):
+    _set_lines(t.dslams, 5, np.append(t.dslams[5].line_ids, -1))
+
+
+def _line_dslam_mismatch(t):
+    t.line_dslam[t.dslams[5].line_ids[0]] = 6
+
+
+def _bad_bras_reference(t):
+    t.dslams[5] = replace(t.dslams[5], bras_id=t.n_brases)
+
+
+def _bras_membership_mismatch(t):
+    t.brases[0] = replace(t.brases[0], dslam_ids=np.append(
+        t.brases[0].dslam_ids, t.brases[1].dslam_ids[0]))
+
+
+def _bras_out_of_range_dslam(t):
+    t.brases[1] = replace(t.brases[1], dslam_ids=np.append(
+        t.brases[1].dslam_ids, t.n_dslams))
+
+
+def _empty_dslam(t):
+    t.dslams.append(Dslam(dslam_id=t.n_dslams, bras_id=0, geo=0,
+                          line_ids=np.empty(0, dtype=int)))
+
+
+def _empty_binder(t):
+    t.binders.append(Binder(binder_id=t.n_binders, dslam_id=0,
+                            line_ids=np.empty(0, dtype=int)))
+
+
+def _cross_dslam_binder(t):
+    t.binders[7] = replace(t.binders[7], dslam_id=t.binders[7].dslam_id + 1)
+
+
+def _binder_bad_dslam(t):
+    t.binders[7] = replace(t.binders[7], dslam_id=t.n_dslams)
+
+
+def _line_binder_mismatch(t):
+    t.line_binder[t.binders[7].line_ids[0]] = 8
+
+
+def _misnumbered_binder(t):
+    t.binders[7] = replace(t.binders[7], binder_id=8)
+
+
+def _binder_double(t):
+    _set_lines(t.binders, 7, np.append(t.binders[7].line_ids, t.binders[8].line_ids[0]))
+
+
+def _binder_orphan(t):
+    _set_lines(t.binders, 7, t.binders[7].line_ids[:-1])
+
+
+def _binder_out_of_range(t):
+    _set_lines(t.binders, 7, np.append(t.binders[7].line_ids, t.n_lines))
+
+
+def _short_line_binder(t):
+    t.line_binder = t.line_binder[:-1]
+
+
+def _short_line_bras(t):
+    t.line_bras = t.line_bras[:-1]
+
+
+class TestValidateAtScale:
+    """One corruption per error branch of a built 10K-line plant."""
+
+    def test_built_plant_is_valid(self, plant):
+        assert plant.n_brases >= 2 and plant.n_binders > 8
+        _copy(plant).validate()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_double_homed, "served by two DSLAMs"),
+        (_orphan, "not served by any DSLAM"),
+        (_out_of_range, "DSLAM 5 references out-of-range lines"),
+        (_negative_line, "DSLAM 5 references out-of-range lines"),
+        (_line_dslam_mismatch, "line_dslam disagrees"),
+        (_bad_bras_reference, "DSLAM 5 references bad BRAS"),
+        (_bras_membership_mismatch, "BRAS membership disagrees"),
+        (_bras_out_of_range_dslam, "BRAS 1 references out-of-range DSLAM"),
+        (_empty_dslam, "serves no lines"),
+        (_empty_binder, "holds no lines"),
+        (_cross_dslam_binder, "not all served by the binder's DSLAM"),
+        (_binder_bad_dslam, "binder 7 references bad DSLAM"),
+        (_line_binder_mismatch, "line_binder disagrees"),
+        (_misnumbered_binder, "list position"),
+        (_binder_double, "two binders"),
+        (_binder_orphan, "no binder"),
+        (_binder_out_of_range, "binder 7 references out-of-range lines"),
+        (_short_line_binder, "does not cover every line"),
+        (_short_line_bras, "cover different lines"),
+    ], ids=lambda value: value.__name__.strip("_") if callable(value) else None)
+    def test_each_breakage_raises(self, plant, corrupt, message):
+        topo = _copy(plant)
+        corrupt(topo)
+        with pytest.raises(ValueError, match=message):
             topo.validate()

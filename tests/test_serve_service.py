@@ -5,6 +5,7 @@ from __future__ import annotations
 import http.client
 import io
 import json
+import logging
 import socket
 import threading
 import time
@@ -159,6 +160,59 @@ class TestRouting:
         # restore for other tests in this module
         service.registry.activate("v0002")
         service.reload()
+
+
+class TestErrorMapping:
+    """A 400 only ever comes from a handler's explicit client-error check."""
+
+    @pytest.mark.parametrize("exc", [KeyError("feature"), ValueError("shape")])
+    def test_handler_bugs_answer_a_logged_500(self, service, monkeypatch, exc):
+        def broken(self, query):
+            raise exc
+
+        monkeypatch.setitem(ScoringService._GET_ROUTES, "/score", broken)
+        records = []
+
+        class _Keep(logging.Handler):
+            def emit(self, record):
+                records.append(record)
+
+        handler = _Keep(level=logging.ERROR)
+        logger = logging.getLogger("repro.serve.service")
+        logger.addHandler(handler)
+        errors = get_registry().counter("repro_http_errors_total")
+        before_500 = errors.value(route="/score", status="500")
+        before_400 = errors.value(route="/score", status="400")
+        try:
+            status, payload = service.dispatch_request("GET", "/score?line=1")
+        finally:
+            logger.removeHandler(handler)
+        assert status == 500
+        assert payload == {"error": f"internal error: {type(exc).__name__}"}
+        assert errors.value(route="/score", status="500") == before_500 + 1
+        assert errors.value(route="/score", status="400") == before_400
+        assert len(records) == 1 and records[0].exc_info is not None
+
+    @pytest.mark.parametrize("path", [
+        "/score?line=abc",
+        "/score?line=1&week=x",
+        "/explain?line=1&top=abc",
+        "/explain?line=1&top=0",
+        "/dispatch?capacity=abc",
+        "/dispatch?capacity=-1",
+        "/dispatch?explain=1&top=0",
+        "/triage?capacity=abc",
+        "/triage?capacity=0",
+        "/locate?line=abc",
+        "/locate?line=1&top=0",
+        "/locate?line=1&top=-3",
+        "/locate?lines=a,b",
+        "/locate?lines=",
+    ])
+    def test_malformed_input_answers_400(self, service, path):
+        status, payload = service.dispatch_request("GET", path)
+        assert status == 400, path
+        assert "error" in payload
 
 
 class _RecordingSocket:
